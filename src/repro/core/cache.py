@@ -26,6 +26,7 @@ while corrupt or unreadable disk entries degrade to a miss, never an error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -112,11 +113,20 @@ def schedule_to_payload(schedule: Schedule) -> list:
 
 
 def schedule_from_payload(payload: list) -> Schedule:
-    """Rebuild a :class:`Schedule` from :func:`schedule_to_payload` output."""
-    return Schedule(tuple(
-        Slot(opclass, {int(t): int(i) for t, i in picks})
-        for opclass, picks in payload
-    ))
+    """Rebuild a :class:`Schedule` from :func:`schedule_to_payload` output.
+
+    Equal payloads give the same schedule object (schedules are immutable
+    and shared), so a caller sent one cached schedule again and again
+    holds one copy of it, not one per reply.
+    """
+    return _schedule_for(tuple(
+        (opclass, tuple((int(t), int(i)) for t, i in picks))
+        for opclass, picks in payload))
+
+
+@functools.lru_cache(maxsize=256)
+def _schedule_for(key: tuple) -> Schedule:
+    return Schedule(tuple(Slot(opclass, dict(picks)) for opclass, picks in key))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from typing import Any, Mapping
 
 from repro.api import InductionRequest
 from repro.core.costmodel import CostModel
+from repro.core.ops import parse_region
 from repro.core.search import SearchConfig
 from repro.obs import current_context
 
@@ -209,11 +210,19 @@ def request_to_wire(request: InductionRequest,
 
 
 def request_from_wire(wire: Mapping[str, Any]) -> InductionRequest:
-    """Rebuild an :class:`InductionRequest` server-side (validating)."""
+    """Rebuild an :class:`InductionRequest` server-side (validating).
+
+    The region text is parsed here, once: a malformed region is a
+    :class:`ProtocolError` like any other bad field, and every later use
+    of the request (fingerprint, cache-hit baselines, the induction
+    itself) reads the parsed :class:`~repro.core.ops.Region`.
+    """
     try:
         config = SearchConfig(**wire["config"]) if "config" in wire else None
+        if not isinstance(wire["region"], str):
+            raise TypeError("region must be text")
         return InductionRequest(
-            region=wire["region"],
+            region=parse_region(wire["region"]),
             model=model_from_payload(wire.get("model", "maspar")),
             method=wire.get("method", "search"),
             window=int(wire.get("window", 0)),

@@ -1,16 +1,18 @@
-"""The induction server: batching, dedup, admission control, drain.
+"""The induction server: admission, dedup, batching, drain.
 
 One :class:`InductionServer` owns a listening socket and three layers of
 threads:
 
-- *handlers* (one per connection) parse frames, apply admission control
-  and wait for their ticket's response;
-- the *batcher* gathers admitted tickets, joins duplicates onto in-flight
-  groups, groups the rest by request fingerprint (the dedup key) and
-  dispatches each unique group once;
+- *handlers* (one per connection) parse each frame once, apply admission
+  control, answer request-cache hits on the spot and otherwise queue a
+  ticket and wait for its response;
+- the *batcher* takes the next ticket plus whatever is already queued
+  (never waiting for more), joins duplicates onto in-flight groups,
+  groups the rest by request fingerprint (the dedup key) and dispatches
+  each unique group once;
 - *dispatchers* (as many as there are workers) run a group through the
-  request-level cache and the supervised :class:`~repro.service.workers.WorkerPool`,
-  then respond to every member.
+  supervised :class:`~repro.service.workers.WorkerPool`, then respond to
+  every member.
 
 Robustness contract (the point of the service):
 
@@ -43,6 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.api import InductionRequest
 from repro.core.cache import (
     ScheduleCache,
     schedule_from_payload,
@@ -103,7 +106,6 @@ class ServerConfig:
     workers: int = 1
     queue_size: int = 64
     batch_max: int = 16
-    batch_wait_s: float = 0.01
     default_deadline_s: float | None = None
     max_retries: int = 2
     backoff_s: float = 0.05
@@ -161,15 +163,21 @@ def flightrec_reply(recorder: FlightRecorder, msg: dict) -> dict:
 class _Ticket:
     """One admitted submit: wire payload plus its response rendezvous."""
 
-    __slots__ = ("wire", "fingerprint", "deadline", "enqueued_at",
-                 "event", "response", "trace_ctx", "recorder")
+    __slots__ = ("wire", "request", "fingerprint", "deadline", "enqueued_at",
+                 "event", "response", "trace_ctx", "recorder", "stores_seen")
 
-    def __init__(self, wire: dict, fingerprint: str,
-                 deadline: float | None) -> None:
+    def __init__(self, wire: dict, request: InductionRequest,
+                 fingerprint: str, deadline: float | None) -> None:
         self.wire = wire
+        #: The request rebuilt from ``wire`` once, region already parsed;
+        #: everything server-side reads it instead of re-parsing the wire.
+        self.request = request
         self.fingerprint = fingerprint
         self.deadline = deadline
         self.enqueued_at = time.monotonic()
+        #: The cache's store count when admission looked this ticket up
+        #: (see :meth:`InductionServer._recheck_cache`).
+        self.stores_seen = 0
         self.event = threading.Event()
         self.response: dict[str, Any] | None = None
         #: Span context of this ticket's ``service.request`` span, so the
@@ -451,15 +459,14 @@ class InductionServer:
             else self.config.default_deadline_s
         deadline = None if deadline_s is None \
             else time.monotonic() + float(deadline_s)
-        ticket = _Ticket(wire, fingerprint, deadline)
+        ticket = _Ticket(wire, request, fingerprint, deadline)
         # The handler thread owns the request's server-side span: it covers
         # queue wait, dispatch and response, and continues the client's
         # trace when the wire carried a context.  The ticket's recorder
         # tees off the same spans so the reply can carry them back.
         tee = TeeTracer(self.tracer, ticket.recorder)
         with attach_context(wire.get("trace_ctx")), \
-                span("service.request", tee, method=wire.get(
-                    "method", "search")) as live:
+                span("service.request", tee, method=request.method) as live:
             ticket.trace_ctx = current_context()
             response = self._admit_wait(ticket, deadline_s, live)
         return self._finish_request(ticket, response, live.trace_id,
@@ -476,6 +483,20 @@ class InductionServer:
         with self._open_lock:
             self._open_tickets += 1
             self._drained.clear()
+        if self.cache is not None:
+            # A cached answer is built right here on the handler thread:
+            # it never queues, so it never waits behind a busy worker.
+            ticket.stores_seen = self.cache.counters["stores"]
+            with use_registry(self.metrics):
+                hit = self.cache.get(ticket.fingerprint)
+                if hit is not None:
+                    try:
+                        (response,) = self._answer_hit(
+                            [ticket], hit, started=ticket.enqueued_at)
+                    finally:
+                        self._ticket_closed()
+                    live.set(status="ok")
+                    return response
         try:
             self._queue.put_nowait(ticket)
         except queue.Full:
@@ -541,14 +562,13 @@ class InductionServer:
                 if self._stopped.is_set():
                     return
                 continue
+            # Take only what is already queued: a lone request never waits
+            # for company.  A duplicate arriving later still shares the
+            # search by joining the live group through _inflight.
             batch = [first]
-            cutoff = time.monotonic() + self.config.batch_wait_s
             while len(batch) < self.config.batch_max:
-                wait = cutoff - time.monotonic()
                 try:
-                    batch.append(self._queue.get(
-                        timeout=max(0.0, wait)) if wait > 0
-                        else self._queue.get_nowait())
+                    batch.append(self._queue.get_nowait())
                 except queue.Empty:
                     break
             self.counters.set("queue_depth", self._queue.qsize())
@@ -600,10 +620,32 @@ class InductionServer:
                     del self._inflight[group.fingerprint]
                 self.counters.set("inflight", len(self._inflight))
 
+    def _recheck_cache(self, first: _Ticket):
+        """An entry stored after ``first`` missed at admission, if any.
+
+        Catches a group that finished between admission and dispatch.
+        Admission already looked every tier up, so the re-check reads the
+        local tier only (a miss never costs a second peer round trip), and
+        only when that tier has stored anything since (the store counter
+        moves after the entry is in place).
+        """
+        if self.cache is None or \
+                self.cache.counters["stores"] == first.stores_seen:
+            return None
+        get = getattr(self.cache, "get_local", self.cache.get)
+        return get(first.fingerprint)
+
     def _run_group_inner(self, group: _Group) -> None:
         first = group.tickets[0]
-        request = protocol.request_from_wire(first.wire)
+        request = first.request
         started = time.monotonic()
+        hit = self._recheck_cache(first)
+        if hit is not None:
+            members = group.members()
+            for ticket, response in zip(
+                    members, self._answer_hit(members, hit, started)):
+                self._respond(ticket, response)
+            return
 
         # The dispatch span hangs off the first member's service.request
         # span; worker-side spans hang off the dispatch via the context
@@ -615,81 +657,99 @@ class InductionServer:
         with attach_context(first.trace_ctx), \
                 span("service.dispatch", tee,
                      tickets=len(group.tickets)) as live:
-            payload: dict | None = None
             disposition = "miss"
-            if self.cache is not None:
-                hit = self.cache.get(group.fingerprint)
-                if hit is not None:
-                    result = build_result(request, hit[0], hit[1],
-                                          cache_hit=True,
-                                          wall_s=time.monotonic() - started)
-                    payload = result_to_payload(result)
-                    disposition = "cache"
-                    self.counters.bump("cache_hits")
-
-            if payload is None:
-                deadlines = [t.deadline for t in group.tickets
-                             if t.deadline is not None]
-                effective = min(deadlines) if deadlines else None
-                wire = dict(first.wire)
-                ctx = current_context()
-                if ctx is not None:
-                    wire["trace_ctx"] = ctx
-                if wire.get("method") == "portfolio":
-                    # The race self-deadlines inside the worker; the pool's
-                    # kill switch is only the wedged-worker backstop.  A
-                    # server-default deadline reaches the race through the
-                    # wire, since the client never set one there.
-                    inject_portfolio_hints(wire, request, self.strategy_store)
-                    if effective is not None:
-                        if "deadline_s" not in wire:
-                            wire["deadline_s"] = max(
-                                0.0, effective - time.monotonic())
-                        effective += PORTFOLIO_KILL_GRACE_S
-                try:
-                    worker_started = time.monotonic()
-                    payload, meta = self.pool.run(wire, effective)
-                    self.metrics.observe(
-                        "service_worker_seconds",
-                        time.monotonic() - worker_started,
-                        trace_id=live.trace_id)
-                    absorb_obs(payload, tracer=tee,
-                               registry=self.metrics)
-                    record_portfolio_outcome(payload, self.strategy_store)
-                    payload["retries"] = meta["retries"]
-                    if meta["retries"]:
-                        self.metrics.observe("service_worker_retries",
-                                             meta["retries"],
-                                             buckets=DEFAULT_SIZE_BUCKETS)
-                    if self.cache is not None and not payload.get("degraded"):
-                        stats_list = payload.get("stats") or []
-                        stats = SearchStats(**stats_list[0]) \
-                            if len(stats_list) == 1 else None
-                        self.cache.put(
-                            group.fingerprint,
-                            schedule_from_payload(payload["schedule"]),
-                            stats)
-                except DeadlineExpired:
-                    disposition = "deadline"
-                    self.counters.bump("degraded_deadline")
-                    payload = result_to_payload(degraded_result(
-                        request, wall_s=time.monotonic() - started))
-                except RetriesExhausted:
-                    disposition = "retries"
-                    self.counters.bump("degraded_retries")
-                    payload = result_to_payload(degraded_result(
-                        request, wall_s=time.monotonic() - started))
-                except WorkerTaskError as exc:
-                    self.counters.bump("task_errors")
-                    live.set(disposition="error")
-                    for ticket in group.members():
-                        self._respond(ticket, {"status": "error",
-                                               "error": str(exc)})
-                    return
+            deadlines = [t.deadline for t in group.tickets
+                         if t.deadline is not None]
+            effective = min(deadlines) if deadlines else None
+            wire = dict(first.wire)
+            ctx = current_context()
+            if ctx is not None:
+                wire["trace_ctx"] = ctx
+            if wire.get("method") == "portfolio":
+                # The race self-deadlines inside the worker; the pool's
+                # kill switch is only the wedged-worker backstop.  A
+                # server-default deadline reaches the race through the
+                # wire, since the client never set one there.
+                inject_portfolio_hints(wire, request, self.strategy_store)
+                if effective is not None:
+                    if "deadline_s" not in wire:
+                        wire["deadline_s"] = max(
+                            0.0, effective - time.monotonic())
+                    effective += PORTFOLIO_KILL_GRACE_S
+            try:
+                worker_started = time.monotonic()
+                payload, meta = self.pool.run(wire, effective)
+                self.metrics.observe(
+                    "service_worker_seconds",
+                    time.monotonic() - worker_started,
+                    trace_id=live.trace_id)
+                absorb_obs(payload, tracer=tee,
+                           registry=self.metrics)
+                record_portfolio_outcome(payload, self.strategy_store)
+                payload["retries"] = meta["retries"]
+                if meta["retries"]:
+                    self.metrics.observe("service_worker_retries",
+                                         meta["retries"],
+                                         buckets=DEFAULT_SIZE_BUCKETS)
+                if self.cache is not None and not payload.get("degraded"):
+                    stats_list = payload.get("stats") or []
+                    stats = SearchStats(**stats_list[0]) \
+                        if len(stats_list) == 1 else None
+                    self.cache.put(
+                        group.fingerprint,
+                        schedule_from_payload(payload["schedule"]),
+                        stats)
+            except DeadlineExpired:
+                disposition = "deadline"
+                self.counters.bump("degraded_deadline")
+                payload = result_to_payload(degraded_result(
+                    request, wall_s=time.monotonic() - started))
+            except RetriesExhausted:
+                disposition = "retries"
+                self.counters.bump("degraded_retries")
+                payload = result_to_payload(degraded_result(
+                    request, wall_s=time.monotonic() - started))
+            except WorkerTaskError as exc:
+                self.counters.bump("task_errors")
+                live.set(disposition="error")
+                for ticket in group.members():
+                    self._respond(ticket, {"status": "error",
+                                           "error": str(exc)})
+                return
             live.set(disposition=disposition)
 
         members = group.members()
+        for ticket, response in zip(members, self._replies(
+                members, payload, disposition, started)):
+            self._respond(ticket, response)
+
+    def _answer_hit(self, members: list[_Ticket], hit,
+                    started: float) -> list[dict]:
+        """One reply per member from a cached schedule: no worker runs.
+
+        Admission calls this for a lone ticket with ``started`` at its
+        arrival, so its queue wait is zero; a dispatcher whose re-check
+        hit calls it for its group.  The answer runs under a
+        ``service.dispatch`` span with ``disposition="cache"`` on the
+        first member's trace, like every dispatch.
+        """
+        first = members[0]
+        tee = TeeTracer(self.tracer, first.recorder)
+        with attach_context(first.trace_ctx), \
+                span("service.dispatch", tee, tickets=len(members),
+                     disposition="cache"):
+            result = build_result(first.request, hit[0], hit[1],
+                                  cache_hit=True,
+                                  wall_s=time.monotonic() - started)
+            payload = result_to_payload(result)
+        self.counters.bump("cache_hits")
+        return self._replies(members, payload, "cache", started)
+
+    def _replies(self, members: list[_Ticket], payload: dict,
+                 disposition: str, started: float) -> list[dict]:
+        """Each member's ``ok`` reply, counted and timed."""
         now = time.monotonic()
+        replies = []
         for position, ticket in enumerate(members):
             self.metrics.observe("service_queue_wait_seconds",
                                  max(0.0, started - ticket.enqueued_at))
@@ -704,8 +764,7 @@ class InductionServer:
                 "server_wall_s": round(now - ticket.enqueued_at, 6),
                 "disposition": disposition,
             }
-            self._respond(ticket,
-                          {"status": "ok", "result": {**payload, **extras}})
+            replies.append({"status": "ok", "result": {**payload, **extras}})
             if position:
                 self.counters.bump("dedup_served")
             self.counters.bump("ok")
@@ -715,6 +774,7 @@ class InductionServer:
                                  degraded=bool(payload.get("degraded")),
                                  batch=len(members), deduped=position > 0,
                                  wall_s=extras["server_wall_s"])
+        return replies
 
     # -- introspection -----------------------------------------------------
 

@@ -93,15 +93,17 @@ def _execute_wire(wire: Mapping[str, Any]) -> dict:
 
     recorder = MemoryTracer()
     registry = MetricsRegistry()
-    request = request_from_wire(wire).replace(cache=None, tracer=recorder)
-    if request.method != "portfolio":
-        # Non-portfolio deadlines are enforced by the supervisor's kill
-        # switch; the portfolio race enforces its own cooperatively, so it
-        # keeps ``deadline_s`` and returns best-so-far instead of dying.
-        request = request.replace(deadline_s=None)
     with use_registry(registry), attach_context(wire.get("trace_ctx")):
         with span("worker.execute", recorder, pid=os.getpid(),
-                  method=request.method):
+                  method=wire.get("method", "search")):
+            request = request_from_wire(wire).replace(cache=None,
+                                                      tracer=recorder)
+            if request.method != "portfolio":
+                # Non-portfolio deadlines are enforced by the supervisor's
+                # kill switch; the portfolio race enforces its own
+                # cooperatively, so it keeps ``deadline_s`` and returns
+                # best-so-far instead of dying.
+                request = request.replace(deadline_s=None)
             result = _execute_local(
                 request,
                 portfolio_order=wire.get("portfolio_order"),
@@ -461,5 +463,8 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
         stats = result.search_stats[0] if len(result.search_stats) == 1 else None
         request.cache.put(fingerprint, result.schedule, stats)
     if request.tracer is not None and request.tracer.enabled:
-        request.tracer.emit("deadline_run", **result.as_dict())
+        # ``kind`` would collide with emit's own event-kind argument.
+        fields = result.as_dict()
+        fields.pop("kind", None)
+        request.tracer.emit("deadline_run", **fields)
     return result

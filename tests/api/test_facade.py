@@ -136,6 +136,17 @@ class TestRouting:
         assert not result.degraded
         assert store.races == 1
 
+    def test_deadline_route_with_tracer(self):
+        # The supervised-worker route emits a deadline_run event; the
+        # result's own "kind" field must not collide with the event kind.
+        from repro.obs import MemoryTracer
+        tracer = MemoryTracer()
+        result = api.induce(api.InductionRequest(
+            region=REGION, deadline_s=60.0, tracer=tracer))
+        assert result.cost > 0 and not result.degraded
+        (event,) = [e for e in tracer.events if e["kind"] == "deadline_run"]
+        assert event["cost"] == result.cost
+
     def test_cache_handle_stays_local(self, tmp_path):
         cache = ScheduleCache(cache_dir=str(tmp_path / "cache"))
         request = api.InductionRequest(region=REGION, cache=cache)

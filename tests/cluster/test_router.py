@@ -80,6 +80,19 @@ class TestRouting:
         assert cluster.node_stats()[owner_index].get("cache_hits", 0) == \
             node_hits_before + 1
 
+    def test_routed_miss_asks_one_peer_once(self, cluster):
+        # The node looks every cache tier up once, at admission; its
+        # dispatcher's re-check stays local, so a miss costs exactly one
+        # peer cache_get (the fingerprint's other ring owner).
+        def peer_gets():
+            return sum(s.get("peer_cache_requests", 0)
+                       for s in cluster.node_stats())
+
+        before = peer_gets()
+        result = cluster.client().submit(request(40))
+        assert result.extras["disposition"] == "miss"
+        assert peer_gets() - before == 1
+
     def test_inflight_duplicates_share_one_forward(self, cluster):
         req = request(3)
         dedup_before = cluster.router.counters["route_dedup_hits"]

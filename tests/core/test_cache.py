@@ -77,6 +77,12 @@ class TestPayloadRoundtrip:
         json.dumps(payload)  # must be JSON-able as is
         assert schedule_from_payload(payload) == sched
 
+    def test_equal_payloads_share_one_schedule(self):
+        sched, _ = branch_and_bound(REGION, UNIT)
+        payload = schedule_to_payload(sched)
+        again = json.loads(json.dumps(payload))
+        assert schedule_from_payload(again) is schedule_from_payload(payload)
+
 
 class TestMemoryTier:
     def test_get_miss_then_hit(self):

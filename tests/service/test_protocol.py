@@ -130,6 +130,13 @@ class TestRequestWire:
         with pytest.raises(protocol.ProtocolError, match="bad submit"):
             protocol.request_from_wire(wire)
 
+    @pytest.mark.parametrize("region", ["thread zero:\n  a = ld x", 42])
+    def test_bad_region_is_protocol_error(self, region):
+        wire = protocol.request_to_wire(InductionRequest(region=REGION))
+        wire["region"] = region
+        with pytest.raises(protocol.ProtocolError, match="bad submit"):
+            protocol.request_from_wire(wire)
+
     def test_bad_deadline_is_protocol_error(self):
         wire = protocol.request_to_wire(InductionRequest(region=REGION))
         wire["deadline_s"] = -1

@@ -6,6 +6,7 @@ deadlines and queue pressure deterministic, ``crash_attempts`` kills the
 worker mid-task to exercise retry-with-backoff.
 """
 
+import sys
 import threading
 import time
 
@@ -30,8 +31,8 @@ thread 1:
 
 def make_server(tmp_path, **overrides):
     defaults = dict(address=str(tmp_path / "svc.sock"), workers=1,
-                    queue_size=8, batch_max=4, batch_wait_s=0.005,
-                    backoff_s=0.01, allow_chaos=True)
+                    queue_size=8, batch_max=4, backoff_s=0.01,
+                    allow_chaos=True)
     defaults.update(overrides)
     return InductionServer(ServerConfig(**defaults))
 
@@ -223,12 +224,21 @@ def test_windowed_request_over_service(tmp_path):
         server.shutdown()
 
 
-def test_cache_hit_disposition(tmp_path, request_):
+def make_cached_server(tmp_path, tracer=None, **overrides):
     from repro.core import ScheduleCache
 
-    config = ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
-                          allow_chaos=True)
-    server = InductionServer(config, cache=ScheduleCache())
+    defaults = dict(address=str(tmp_path / "svc.sock"), workers=1,
+                    backoff_s=0.01, allow_chaos=True)
+    defaults.update(overrides)
+    return InductionServer(ServerConfig(**defaults), cache=ScheduleCache(),
+                           tracer=tracer)
+
+
+def test_cache_hit_disposition(tmp_path, request_):
+    from repro.obs import MemoryTracer, build_traces
+
+    tracer = MemoryTracer()
+    server = make_cached_server(tmp_path, tracer=tracer)
     try:
         client = ServiceClient(server.address)
         first = client.submit(request_)
@@ -237,9 +247,147 @@ def test_cache_hit_disposition(tmp_path, request_):
         assert second.extras["disposition"] == "cache"
         assert second.cache_hit
         assert second.cost == first.cost
+        # Answered at admission: no queue, no batch company.
+        assert second.extras["queue_wait_s"] == 0.0
+        assert second.extras["batch"] == 1
+        assert not second.extras["deduped"]
         assert client.stats()["cache_hits"] == 1
     finally:
         server.shutdown()
+
+    spans = [e for e in tracer.events if e["kind"] == "span"]
+    trees = sorted(build_traces(spans), key=lambda t: t.roots[0].start_s)
+    assert len(trees) == 2
+    (root,) = trees[1].roots
+    assert root.name == "service.request"
+    (dispatch,) = root.children
+    assert dispatch.name == "service.dispatch"
+    assert dispatch.attrs["disposition"] == "cache"
+    assert "worker.execute" not in {n.name for n in trees[1]._walk()}
+
+
+def test_draining_node_sheds_a_cached_fingerprint(tmp_path, request_):
+    server = make_cached_server(tmp_path)
+    try:
+        client = ServiceClient(server.address)
+        client.submit(request_)
+        client.drain()
+        with pytest.raises(ServiceBusy, match="draining"):
+            client.submit(request_)
+        stats = client.stats()
+        assert stats["shed"] == 1
+        assert stats.get("cache_hits", 0) == 0
+    finally:
+        server.shutdown()
+
+
+def test_cache_hit_is_not_blocked_by_a_stalled_worker(tmp_path, request_):
+    server = make_cached_server(tmp_path)
+    try:
+        client = ServiceClient(server.address)
+        client.submit(request_)                    # now cached
+        box = {}
+
+        def stalled():
+            box["result"] = client.submit(request_.replace(budget=12_345),
+                                          chaos={"sleep_s": 2.0})
+
+        t = threading.Thread(target=stalled)
+        t.start()
+        time.sleep(0.3)  # the miss now holds the only worker
+        hit = client.submit(request_)
+        assert t.is_alive(), "the hit waited for the stalled miss"
+        assert hit.extras["disposition"] == "cache"
+        assert hit.extras["queue_wait_s"] == 0.0
+        t.join(timeout=30)
+        assert box["result"].extras["disposition"] == "miss"
+        assert not box["result"].degraded
+    finally:
+        server.shutdown()
+
+
+def test_concurrent_submits_run_one_search_per_fingerprint(tmp_path,
+                                                          request_):
+    # Admission lookups, in-flight joins and the dispatcher's re-check
+    # race each other here; whichever wins, each fingerprint is searched
+    # exactly once.  More workers than cores and a short switch interval
+    # make the interleavings dense.
+    server = make_cached_server(tmp_path, workers=3)
+    client = ServiceClient(server.address)
+    requests = [request_.replace(budget=30_000 + i) for i in range(3)]
+    results = {i: [] for i in range(len(requests))}
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(
+            target=lambda i=i: results[i].append(client.submit(requests[i])))
+            for i in range(len(requests)) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(previous)
+        stats = server.stats()
+        server.shutdown()
+    assert all(len(r) == 8 and len({x.cost for x in r}) == 1
+               for r in results.values())
+    searches = stats["requests"] - stats.get("dedup_hits", 0) \
+        - stats.get("cache_hits", 0)
+    assert searches == len(requests)
+
+
+def test_drain_during_hits_and_misses_loses_none(tmp_path, request_):
+    server = make_cached_server(tmp_path, workers=2)
+    client = ServiceClient(server.address)
+    warm = [request_.replace(budget=10_000 + i) for i in range(3)]
+    for req in warm:
+        client.submit(req)
+    misses, hits, refused, errors = [], [], [], []
+    stop = threading.Event()
+
+    def miss(i):
+        try:
+            misses.append(client.submit(request_.replace(budget=20_000 + i),
+                                        chaos={"sleep_s": 0.4}))
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def hit(i):
+        while not stop.is_set():
+            try:
+                hits.append(client.submit(warm[i % len(warm)]))
+            except ServiceBusy:
+                refused.append(i)
+                return
+            except Exception:  # noqa: BLE001 - listener gone: not admitted
+                refused.append(i)
+                return
+
+    miss_threads = [threading.Thread(target=miss, args=(i,))
+                    for i in range(3)]
+    hit_threads = [threading.Thread(target=hit, args=(i,)) for i in range(3)]
+    for t in miss_threads + hit_threads:
+        t.start()
+    deadline = time.monotonic() + 10.0
+    while server.stats()["requests"] < len(warm) + 3 + 3 and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    server.shutdown(drain=True)
+    stop.set()
+    for t in miss_threads + hit_threads:
+        t.join(timeout=30)
+    assert not errors
+    assert len(misses) == 3
+    assert all(not r.degraded and r.extras["disposition"] == "miss"
+               for r in misses)
+    assert hits and all(r.extras["disposition"] == "cache" for r in hits)
+    stats = server.stats()
+    # Every admitted request was answered: ok or shed, nothing lost.
+    assert stats["open_tickets"] == 0
+    assert stats["requests"] == stats["ok"] + stats.get("shed", 0)
+    assert stats["ok"] == len(warm) + len(misses) + len(hits)
 
 
 def test_malformed_region_is_an_error_not_a_crash(tmp_path, request_):
@@ -309,8 +457,8 @@ def test_service_round_trip_is_one_stitched_trace(tmp_path, request_):
 
     tracer = MemoryTracer()
     server = InductionServer(
-        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1,
-                     batch_wait_s=0.005), tracer=tracer)
+        ServerConfig(address=str(tmp_path / "svc.sock"), workers=1),
+        tracer=tracer)
     try:
         with ServiceClient(server.address) as client:
             assert not client.submit(request_).degraded
