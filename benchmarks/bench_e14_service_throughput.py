@@ -64,13 +64,13 @@ def run_experiment():
                      workers=workers, queue_size=2 * n, batch_max=16),
         cache=ScheduleCache())
     try:
-        client = ServiceClient(server.endpoint)
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=10) as pool:
-            results = list(pool.map(
-                lambda item: (item[0], client.submit(item[1])), workload))
-        svc_wall = time.perf_counter() - t0
-        stats = client.stats()
+        with ServiceClient(server.endpoint) as client:
+            t0 = time.perf_counter()
+            with ThreadPoolExecutor(max_workers=10) as pool:
+                results = list(pool.map(
+                    lambda item: (item[0], client.submit(item[1])), workload))
+            svc_wall = time.perf_counter() - t0
+            stats = client.stats()
     finally:
         server.shutdown()
 

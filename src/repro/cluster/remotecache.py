@@ -20,6 +20,10 @@ fail an induction.  Counters land in the *local* cache's counter set
 so they surface through the server's existing ``cache_*`` stats without
 any new plumbing.
 
+Each peer is reached through one client kept for the cache's lifetime, so
+peer traffic reuses pooled connections instead of opening one per lookup;
+:meth:`close` (the server calls it at shutdown) closes them.
+
 The server's peer ops (``cache_get``/``cache_put``) call
 :meth:`get_local`/:meth:`put_local`, which never touch the network: peer
 traffic terminates at the local tiers, so two nodes missing on the same
@@ -28,15 +32,16 @@ fingerprint can't fan out to each other forever.
 
 from __future__ import annotations
 
-import dataclasses
+import threading
 from typing import Callable
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.ring import HashRing
 from repro.core.cache import (
+    CacheEntry,
     ScheduleCache,
-    schedule_from_payload,
-    schedule_to_payload,
+    entry_from_payload,
+    entry_to_payload,
 )
 from repro.core.schedule import Schedule
 from repro.core.search import SearchStats
@@ -65,7 +70,9 @@ class RemoteScheduleCache:
 
             client_factory = lambda endpoint: ServiceClient(  # noqa: E731
                 endpoint, timeout=config.peer_timeout_s)
-        self._client_for = client_factory
+        self._new_client = client_factory
+        self._clients: dict[str, object] = {}
+        self._clients_lock = threading.Lock()
 
     # -- ScheduleCache surface --------------------------------------------
 
@@ -84,9 +91,14 @@ class RemoteScheduleCache:
     def hit_rate(self) -> float:
         return self.local.hit_rate
 
-    def get(self, fingerprint: str) -> tuple[Schedule, SearchStats | None] | None:
-        """Local tiers first, then the fingerprint's ring owners."""
-        found = self.local.get(fingerprint)
+    def get(self, fingerprint: str,
+            baselines: bool = False) -> CacheEntry | None:
+        """Local tiers first, then the fingerprint's ring owners.
+
+        ``baselines`` is :meth:`ScheduleCache.get`'s request-level rule,
+        applied to peer entries too.
+        """
+        found = self.local.get(fingerprint, baselines=baselines)
         if found is not None:
             return found
         for peer in self._peers_for(fingerprint):
@@ -94,44 +106,60 @@ class RemoteScheduleCache:
             if payload is None:
                 continue
             try:
-                schedule = schedule_from_payload(payload["schedule"])
-                raw_stats = payload.get("stats")
-                stats = SearchStats(**raw_stats) if raw_stats else None
+                entry = entry_from_payload(payload)
             except (KeyError, TypeError, ValueError):
                 self.counters.bump("remote_errors")
                 continue
+            if baselines and not entry.has_baselines:
+                continue
             # Adopt the entry locally so the next lookup is a memory hit.
-            self.local.put(fingerprint, schedule, stats)
+            self.local.put(fingerprint, *entry)
             self.counters.bump("remote_hits")
-            return schedule, stats
+            return entry
         self.counters.bump("remote_misses")
         return None
 
     def put(self, fingerprint: str, schedule: Schedule,
-            stats: SearchStats | None = None) -> None:
+            stats: SearchStats | None = None,
+            serial_cost: float | None = None,
+            lockstep_cost: float | None = None) -> None:
         """Store locally and push to the fingerprint's replica owners."""
-        self.local.put(fingerprint, schedule, stats)
+        self.local.put(fingerprint, schedule, stats, serial_cost,
+                       lockstep_cost)
         payload = None
         for peer in self._peers_for(fingerprint):
             if payload is None:
-                payload = (schedule_to_payload(schedule),
-                           dataclasses.asdict(stats) if stats else None)
+                payload = entry_to_payload(CacheEntry(
+                    schedule, stats, serial_cost, lockstep_cost))
             try:
-                self._client_for(self.config.endpoint_named(peer)).cache_put(
-                    fingerprint, payload[0], payload[1])
+                self._client(peer).cache_put(
+                    fingerprint, payload["schedule"], payload["stats"],
+                    serial_cost, lockstep_cost)
                 self.counters.bump("remote_stores")
             except Exception:  # noqa: BLE001 - replication is best-effort
                 self.counters.bump("remote_errors")
 
+    def close(self) -> None:
+        """Close the pooled peer connections (clients reopen on demand)."""
+        with self._clients_lock:
+            clients = list(self._clients.values())
+        for client in clients:
+            close = getattr(client, "close", None)
+            if close is not None:
+                close()
+
     # -- local-only surface (used by the server's peer ops) ----------------
 
-    def get_local(self, fingerprint: str):
+    def get_local(self, fingerprint: str, baselines: bool = False):
         """Local tiers only — peer traffic must not re-enter the cluster."""
-        return self.local.get(fingerprint)
+        return self.local.get(fingerprint, baselines=baselines)
 
     def put_local(self, fingerprint: str, schedule: Schedule,
-                  stats: SearchStats | None = None) -> None:
-        self.local.put(fingerprint, schedule, stats)
+                  stats: SearchStats | None = None,
+                  serial_cost: float | None = None,
+                  lockstep_cost: float | None = None) -> None:
+        self.local.put(fingerprint, schedule, stats, serial_cost,
+                       lockstep_cost)
 
     # -- internals ---------------------------------------------------------
 
@@ -140,10 +168,18 @@ class RemoteScheduleCache:
         order = self.ring.preference(fingerprint, count=self.config.replication)
         return [name for name in order if name != self.self_name]
 
+    def _client(self, peer: str):
+        """The one client for ``peer``, built on first use."""
+        with self._clients_lock:
+            client = self._clients.get(peer)
+            if client is None:
+                client = self._new_client(self.config.endpoint_named(peer))
+                self._clients[peer] = client
+            return client
+
     def _peer_get(self, peer: str, fingerprint: str) -> dict | None:
         try:
-            client = self._client_for(self.config.endpoint_named(peer))
-            return client.cache_get(fingerprint)
+            return self._client(peer).cache_get(fingerprint)
         except Exception:  # noqa: BLE001 - dead peer == miss
             self.counters.bump("remote_errors")
             return None

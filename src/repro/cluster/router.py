@@ -11,7 +11,10 @@ cluster-wide dedup mirrors the per-node batcher's.  *Finished* duplicates
 are answered by a fingerprint-keyed LRU request cache
 (``ClusterConfig.request_cache_size``; ``ok`` non-degraded replies only)
 without touching a node at all — ``router_cache_hits`` counts them, and
-cached replies carry a ``router_cache`` extra.
+cached replies carry a ``router_cache`` extra.  A hit shares the cached
+reply's nested values instead of copying them, so the cache stores them
+frozen (lists as tuples, dicts read-only): a caller can neither change
+the next hit's answer nor pay for a deep copy of it.
 
 Two skins over the core:
 
@@ -24,6 +27,10 @@ Two skins over the core:
   speaking the ordinary framed-JSON protocol, so any existing
   :class:`~repro.service.client.ServiceClient` can point at the router
   and transparently talk to the whole cluster.
+
+Forwards reuse one pooled :class:`~repro.service.client.ServiceClient` per
+node; a pooled connection that went stale while idle is retried once on
+a fresh one inside the client, so it is neither an attempt nor a strike.
 
 Failure handling is per-attempt, not per-request: a dead socket is a
 membership strike (three strikes → node marked down, ring rebuilt) and an
@@ -48,8 +55,6 @@ and ``flightrec`` ops.
 
 from __future__ import annotations
 
-import copy
-import socket
 import threading
 import time
 from collections import OrderedDict
@@ -79,14 +84,42 @@ from repro.obs.metrics import (
 )
 from repro.obs.slo import SLOTracker
 from repro.service import protocol
-from repro.service.client import ServiceBusy, ServiceError, absorb_reply_obs
+from repro.service.client import (
+    ServiceBusy,
+    ServiceClient,
+    ServiceError,
+    absorb_reply_obs,
+)
 from repro.service.endpoint import Endpoint
-from repro.service.server import flightrec_reply
+from repro.service.server import ConnectionSet, flightrec_reply
 
 __all__ = ["ClusterClient", "ClusterForwarder", "ClusterRouter"]
 
 #: Queue-depth histogram buckets: service queues are small integers.
 _DEPTH_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes: a nested value of a cached reply."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a cached router reply is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # Pickled and deep-copied replies come back as plain dicts.
+        return dict, (dict(self),)
+
+
+def _frozen(value: Any) -> Any:
+    """``value`` with every dict made read-only and every list a tuple."""
+    if isinstance(value, dict):
+        return _ReadOnlyDict({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
 
 
 class _Flight:
@@ -134,12 +167,18 @@ class ClusterForwarder:
         self._flights_lock = threading.Lock()
         self._request_cache: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._request_cache_lock = threading.Lock()
+        self._clients: dict[str, ServiceClient] = {}
+        self._clients_lock = threading.Lock()
         self._started = time.monotonic()
         if start_probes:
             self.membership.start()
 
     def close(self) -> None:
         self.membership.stop()
+        with self._clients_lock:
+            clients = list(self._clients.values())
+        for client in clients:
+            client.close()
 
     # -- planning ----------------------------------------------------------
 
@@ -198,12 +237,13 @@ class ClusterForwarder:
         cached = self._cache_lookup(fingerprint)
         if cached is not None:
             # A finished duplicate: answer from the front door without
-            # touching a node (deep copy — the caller owns its reply).
+            # touching a node.  _annotate gives the caller its own top two
+            # levels; everything below is the cache's, frozen.
             self.counters.bump("router_cache_hits")
             with attach_context(wire.get("trace_ctx")), \
                     span("cluster.route", tee,
                          fingerprint=fingerprint[:12], cached=True) as route:
-                reply = self._annotate(copy.deepcopy(cached), cached=True)
+                reply = self._annotate(cached, cached=True)
                 route.set(status=str(reply.get("status")))
             return self._finish_route(reply,
                                       {"route": [], "failed_over": False},
@@ -322,8 +362,7 @@ class ClusterForwarder:
                 hop["trace_ctx"] = att.context()
                 try:
                     reply = self._roundtrip(node, hop)
-                except (OSError, protocol.ProtocolError,
-                        ServiceError) as exc:
+                except ServiceError as exc:
                     error = exc
                     att.set(status="failover", error=str(exc)[:120])
                 else:
@@ -378,20 +417,19 @@ class ClusterForwarder:
                 replay_events(obs.get("spans") or [], tee)
 
     def _roundtrip(self, node: str, message: Mapping[str, Any]) -> dict:
-        endpoint = self.membership.endpoint_of(node)
+        with self._clients_lock:
+            client = self._clients.get(node)
+            if client is None:
+                client = ServiceClient(self.membership.endpoint_of(node),
+                                       timeout=self.config.forward_timeout_s)
+                self._clients[node] = client
         with self._loads_lock:
             self._loads[node] = self._loads.get(node, 0) + 1
         try:
-            with endpoint.connect(
-                    timeout=self.config.forward_timeout_s) as sock:
-                protocol.send_message(sock, message)
-                reply = protocol.recv_message(sock)
+            return client.roundtrip(message)
         finally:
             with self._loads_lock:
                 self._loads[node] -= 1
-        if reply is None:
-            raise protocol.ProtocolError(f"{node} closed the connection")
-        return reply
 
     # -- request cache -----------------------------------------------------
 
@@ -417,6 +455,7 @@ class ClusterForwarder:
         result = reply.get("result")
         if not isinstance(result, dict) or result.get("degraded"):
             return
+        reply = _frozen(reply)
         with self._request_cache_lock:
             self._request_cache[fingerprint] = reply
             self._request_cache.move_to_end(fingerprint)
@@ -452,11 +491,10 @@ class ClusterForwarder:
     def drain_node(self, name: str) -> dict:
         """Drain one node: the node stops admitting, the ring stops
         routing to it, in-flight work finishes."""
-        from repro.service.client import ServiceClient
-
         endpoint = self.membership.endpoint_of(name)
-        reply = ServiceClient(
-            endpoint, timeout=self.config.peer_timeout_s).drain()
+        with ServiceClient(endpoint,
+                           timeout=self.config.peer_timeout_s) as client:
+            reply = client.drain()
         self.membership.drain(name)
         self.counters.bump("drains")
         return reply
@@ -556,6 +594,7 @@ class ClusterRouter(ClusterForwarder):
         listen = Endpoint.coerce(endpoint, where="ClusterRouter(endpoint=...)")
         self._stopping = False
         self._stopped = threading.Event()
+        self._connections = ConnectionSet()
         self._unix_path = listen.path if listen.scheme == "unix" else None
         self._listener = listen.bind(backlog=64)
         self._endpoint = listen.resolved(self._listener)
@@ -578,15 +617,13 @@ class ClusterRouter(ClusterForwarder):
             self._listener.close()
         except OSError:
             pass
-        self._finalize()
-
-    def _finalize(self) -> None:
         if self._unix_path is not None:
             import os
             try:
                 os.unlink(self._unix_path)
             except OSError:
                 pass
+        self._connections.close()
         self.close()
         self._stopped.set()
 
@@ -601,43 +638,11 @@ class ClusterRouter(ClusterForwarder):
                 conn, _addr = self._listener.accept()
             except OSError:
                 return
-            threading.Thread(target=lambda c=conn: self._handle(c),
-                             name="router-conn", daemon=True).start()
-
-    def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    msg = protocol.recv_message(conn)
-                except protocol.ProtocolError as exc:
-                    self._send(conn, {"status": "error", "error": str(exc)})
-                    return
-                except OSError:
-                    return
-                if msg is None:
-                    return
-                try:
-                    reply = self._dispatch_op(msg)
-                except protocol.ProtocolError as exc:
-                    reply = {"status": "error", "error": str(exc)}
-                sent = self._send(conn, reply)
-                if msg.get("op") == "shutdown" and reply.get("status") == "ok":
-                    self._stopping = True
-                    try:
-                        self._listener.close()
-                    except OSError:
-                        pass
-                    self._finalize()
-                    return
-                if not sent:
-                    return
-
-    def _send(self, conn: socket.socket, obj: dict) -> bool:
-        try:
-            protocol.send_message(conn, obj)
-            return True
-        except OSError:
-            return False
+            if self._connections.add(conn):
+                threading.Thread(
+                    target=lambda c=conn: self._connections.serve(
+                        c, self._dispatch_op, self.shutdown),
+                    name="router-conn", daemon=True).start()
 
     def _dispatch_op(self, msg: dict) -> dict:
         op = msg.get("op")

@@ -17,6 +17,15 @@ Two tiers:
   fingerprint, written atomically (temp file + ``os.replace``) so parallel
   writers can never leave a torn file.
 
+An entry (:class:`CacheEntry`) holds the schedule, its search stats and
+the region's serial and lockstep baseline costs, so a request answered
+from the cache reads every number of its reply from the entry instead of
+rebuilding the baselines.  Writers that do not know the baselines (the
+per-window entries of :mod:`repro.core.window`, disk files from older
+code) store None for them, and a *request-level* lookup
+(``get(..., baselines=True)``) counts such an entry as a miss: the caller
+computes the answer afresh and stores a complete entry over it.
+
 Hits return a *copy* of the stored stats so callers can't mutate cache
 state; schedules are immutable and shared.  A hit deliberately skips
 re-verification — trusting the cache is exactly the O(lookup) fast path —
@@ -33,10 +42,9 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
-
 from time import perf_counter
+from typing import Any, Mapping, NamedTuple
 
 from repro.core.costmodel import CostModel
 from repro.core.ops import Region
@@ -46,7 +54,10 @@ from repro.obs import Counters
 from repro.obs.metrics import get_registry
 
 __all__ = [
+    "CacheEntry",
     "ScheduleCache",
+    "entry_from_payload",
+    "entry_to_payload",
     "region_fingerprint",
     "schedule_from_payload",
     "schedule_to_payload",
@@ -129,10 +140,50 @@ def _schedule_for(key: tuple) -> Schedule:
     return Schedule(tuple(Slot(opclass, dict(picks)) for opclass, picks in key))
 
 
-@dataclass(frozen=True)
-class _Entry:
+class CacheEntry(NamedTuple):
+    """One cached answer: the schedule plus what a reply reports with it.
+
+    ``serial_cost``/``lockstep_cost`` are the baseline costs of the region
+    the schedule was built for (post-vn when the request used vn; the key
+    fixes that region and the model, so they are exactly what a fresh run
+    computes).  None when the writer did not know them.
+    """
+
     schedule: Schedule
-    stats: SearchStats | None
+    stats: SearchStats | None = None
+    serial_cost: float | None = None
+    lockstep_cost: float | None = None
+
+    @property
+    def has_baselines(self) -> bool:
+        return self.serial_cost is not None and self.lockstep_cost is not None
+
+
+def entry_to_payload(entry: CacheEntry) -> dict[str, Any]:
+    """JSON-able form of an entry: the disk file body and peer payload."""
+    return {
+        "schedule": schedule_to_payload(entry.schedule),
+        "stats": dataclasses.asdict(entry.stats) if entry.stats else None,
+        "serial_cost": entry.serial_cost,
+        "lockstep_cost": entry.lockstep_cost,
+    }
+
+
+def entry_from_payload(payload: Mapping[str, Any]) -> CacheEntry:
+    """Inverse of :func:`entry_to_payload`; missing baselines stay None.
+
+    Raises ``KeyError``/``TypeError``/``ValueError`` on a malformed payload.
+    """
+    raw_stats = payload.get("stats")
+
+    def cost(key: str) -> float | None:
+        value = payload.get(key)
+        return None if value is None else float(value)
+
+    return CacheEntry(
+        schedule_from_payload(payload["schedule"]),
+        SearchStats(**raw_stats) if raw_stats else None,
+        cost("serial_cost"), cost("lockstep_cost"))
 
 
 class ScheduleCache:
@@ -155,7 +206,7 @@ class ScheduleCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._memory: OrderedDict[str, _Entry] = OrderedDict()
+        self._memory: OrderedDict[str, CacheEntry] = OrderedDict()
         self._lock = threading.RLock()
         self.counters = Counters()
 
@@ -168,34 +219,42 @@ class ScheduleCache:
         looked_up = self.counters["hits"] + self.counters["misses"]
         return self.counters["hits"] / looked_up if looked_up else 0.0
 
-    def get(self, fingerprint: str) -> tuple[Schedule, SearchStats | None] | None:
-        """Schedule + stats stored under ``fingerprint``, or None on miss."""
+    def get(self, fingerprint: str,
+            baselines: bool = False) -> CacheEntry | None:
+        """The entry stored under ``fingerprint``, or None on a miss.
+
+        With ``baselines`` (a request-level lookup, whose reply reports the
+        baseline costs) an entry stored without them is a miss.
+        """
         start = perf_counter()
         with self._lock:
             entry = self._memory.get(fingerprint)
             if entry is not None:
                 self._memory.move_to_end(fingerprint)
-                self.counters.bump("hits")
-                self.counters.bump("memory_hits")
-                get_registry().observe("cache_hit_seconds",
-                                       perf_counter() - start)
-                return entry.schedule, self._copy_stats(entry.stats)
-        entry = self._disk_get(fingerprint)
-        if entry is not None:
-            with self._lock:
-                self._remember(fingerprint, entry)
-            self.counters.bump("hits")
-            self.counters.bump("disk_hits")
-            get_registry().observe("cache_hit_seconds", perf_counter() - start)
-            return entry.schedule, self._copy_stats(entry.stats)
-        self.counters.bump("misses")
-        get_registry().observe("cache_miss_seconds", perf_counter() - start)
-        return None
+        tier = "memory_hits"
+        if entry is None:
+            entry = self._disk_get(fingerprint)
+            if entry is not None:
+                with self._lock:
+                    self._remember(fingerprint, entry)
+            tier = "disk_hits"
+        if entry is None or (baselines and not entry.has_baselines):
+            self.counters.bump("misses")
+            get_registry().observe("cache_miss_seconds",
+                                   perf_counter() - start)
+            return None
+        self.counters.bump("hits")
+        self.counters.bump(tier)
+        get_registry().observe("cache_hit_seconds", perf_counter() - start)
+        return entry._replace(stats=self._copy_stats(entry.stats))
 
     def put(self, fingerprint: str, schedule: Schedule,
-            stats: SearchStats | None = None) -> None:
-        """Store a finished schedule in both tiers."""
-        entry = _Entry(schedule, self._copy_stats(stats))
+            stats: SearchStats | None = None,
+            serial_cost: float | None = None,
+            lockstep_cost: float | None = None) -> None:
+        """Store a finished schedule (and its baselines) in both tiers."""
+        entry = CacheEntry(schedule, self._copy_stats(stats),
+                           serial_cost, lockstep_cost)
         with self._lock:
             self._remember(fingerprint, entry)
         self.counters.bump("stores")
@@ -204,7 +263,7 @@ class ScheduleCache:
 
     # -- memory tier ------------------------------------------------------
 
-    def _remember(self, fingerprint: str, entry: _Entry) -> None:
+    def _remember(self, fingerprint: str, entry: CacheEntry) -> None:
         # Caller holds the lock.
         self._memory[fingerprint] = entry
         self._memory.move_to_end(fingerprint)
@@ -221,16 +280,13 @@ class ScheduleCache:
     def _disk_path(self, fingerprint: str) -> Path:
         return self.cache_dir / f"{fingerprint}.json"
 
-    def _disk_get(self, fingerprint: str) -> _Entry | None:
+    def _disk_get(self, fingerprint: str) -> CacheEntry | None:
         if self.cache_dir is None:
             return None
         path = self._disk_path(fingerprint)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            schedule = schedule_from_payload(data["schedule"])
-            raw_stats = data.get("stats")
-            stats = SearchStats(**raw_stats) if raw_stats is not None else None
-            return _Entry(schedule, stats)
+            return entry_from_payload(
+                json.loads(path.read_text(encoding="utf-8")))
         except FileNotFoundError:
             return None
         except (OSError, ValueError, KeyError, TypeError):
@@ -238,12 +294,8 @@ class ScheduleCache:
             self.counters.bump("disk_errors")
             return None
 
-    def _disk_put(self, fingerprint: str, entry: _Entry) -> None:
-        data = {
-            "fingerprint": fingerprint,
-            "schedule": schedule_to_payload(entry.schedule),
-            "stats": dataclasses.asdict(entry.stats) if entry.stats else None,
-        }
+    def _disk_put(self, fingerprint: str, entry: CacheEntry) -> None:
+        data = {"fingerprint": fingerprint, **entry_to_payload(entry)}
         try:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -135,7 +135,8 @@ def _induce_impl(
     hits return the previously verified schedule without re-checking — that
     skip is the point of the cache.
 
-    ``cache`` memoizes (schedule, stats) under a content fingerprint;
+    ``cache`` memoizes (schedule, stats, baseline costs) under a content
+    fingerprint;
     ``tracer`` receives one ``induce`` event per call.  ``vn`` runs the
     value-numbering pre-pass (:func:`repro.core.vn.vn_prepass`) on the
     region first; everything downstream — fingerprinting, search,
@@ -152,17 +153,18 @@ def _induce_impl(
         if vn != "off":
             region, vnstats = vn_prepass(region, model, vn, tracer)
         fingerprint = None
-        schedule: Schedule | None = None
-        stats: SearchStats | None = None
+        hit = None
         if cache is not None:
             fingerprint = region_fingerprint(region, model, config,
                                              method=method)
-            hit = cache.get(fingerprint)
-            if hit is not None:
-                schedule, stats = hit
-        cache_hit = schedule is not None
+            hit = cache.get(fingerprint, baselines=True)
+        cache_hit = hit is not None
 
-        if schedule is None:
+        if cache_hit:
+            # The entry holds the baselines too: a hit rebuilds nothing.
+            schedule, stats, serial_cost, lockstep_cost = hit
+            cost = schedule.cost(model)
+        else:
             with span("induce.build", tracer, method=method):
                 schedule, stats = _build_schedule(region, model, method, config)
             if verify:
@@ -173,8 +175,16 @@ def _induce_impl(
                     respect_order = bool(config and config.respect_order)
                     dags = build_dags(region, respect_order=respect_order)
                     verify_schedule(schedule, region, model, dags=dags)
+            cost = schedule.cost(model)
+            # Reuse the schedule we just built when it *is* the baseline,
+            # and pay each baseline construction exactly once.
+            serial_cost = cost if method == "serial" else \
+                serial_schedule(region, model).cost(model)
+            lockstep_cost = cost if method == "lockstep" else \
+                lockstep_schedule(region, model).cost(model)
             if cache is not None:
-                cache.put(fingerprint, schedule, stats)
+                cache.put(fingerprint, schedule, stats,
+                          serial_cost, lockstep_cost)
 
         if vnstats is not None and stats is not None:
             # Copy-on-write: cached stats objects are shared (and the
@@ -186,13 +196,6 @@ def _induce_impl(
                 vn_merged_candidates=vnstats.merged_candidates,
                 vn_rewrites=vnstats.rewrites)
 
-        cost = schedule.cost(model)
-        # Reuse the schedule we just built when it *is* the baseline, and pay
-        # each baseline construction exactly once.
-        serial_cost = cost if method == "serial" else \
-            serial_schedule(region, model).cost(model)
-        lockstep_cost = cost if method == "lockstep" else \
-            lockstep_schedule(region, model).cost(model)
         wall_s = watch.stop()
         live.set(cost=cost,
                  cache="hit" if cache_hit

@@ -168,13 +168,14 @@ def _check_region(case: FuzzCase, workdir: Path | None,
 
     # Cache round-trip: memory tier always, disk tier when given a workdir.
     cache_dir = (workdir / "cache") if workdir is not None else None
+    lockstep_cost = lockstep_schedule(region, model).cost(model)
     cache = ScheduleCache(capacity=4, cache_dir=cache_dir)
-    cache.put(fingerprint, schedule, stats)
-    hit = cache.get(fingerprint)
+    cache.put(fingerprint, schedule, stats, serial_cost, lockstep_cost)
+    hit = cache.get(fingerprint, baselines=True)
     if hit is None:
         failures.append(OracleFailure("cache_roundtrip", "put then get missed"))
     else:
-        cached_sched, cached_stats = hit
+        cached_sched, cached_stats, *baselines = hit
         if _slots_payload(cached_sched) != _slots_payload(schedule):
             failures.append(OracleFailure(
                 "cache_roundtrip", "cached schedule differs from stored"))
@@ -182,10 +183,15 @@ def _check_region(case: FuzzCase, workdir: Path | None,
                 dataclasses.asdict(cached_stats) != dataclasses.asdict(stats):
             failures.append(OracleFailure(
                 "cache_roundtrip", "cached stats differ from stored"))
+        if baselines != [serial_cost, lockstep_cost]:
+            failures.append(OracleFailure(
+                "cache_roundtrip", "cached baselines differ from stored"))
     if cache_dir is not None:
-        disk_hit = ScheduleCache(capacity=4, cache_dir=cache_dir).get(fingerprint)
+        disk_hit = ScheduleCache(capacity=4, cache_dir=cache_dir).get(
+            fingerprint, baselines=True)
         if disk_hit is None or \
-                _slots_payload(disk_hit[0]) != _slots_payload(schedule):
+                _slots_payload(disk_hit[0]) != _slots_payload(schedule) or \
+                disk_hit[2:] != (serial_cost, lockstep_cost):
             failures.append(OracleFailure(
                 "cache_disk_roundtrip", "disk tier lost or changed the schedule"))
 
@@ -193,7 +199,7 @@ def _check_region(case: FuzzCase, workdir: Path | None,
     # fixed point (modulo the kind discriminator, which becomes "service").
     result = InductionResult(
         method="search", schedule=schedule, cost=stats.best_cost,
-        serial_cost=serial_cost, lockstep_cost=lockstep_schedule(region, model).cost(model),
+        serial_cost=serial_cost, lockstep_cost=lockstep_cost,
         stats=stats, wall_s=stats.wall_s)
     payload = result_to_payload(result)
     rebuilt = result_from_payload(json.loads(json.dumps(payload, sort_keys=True)))
@@ -305,7 +311,8 @@ def _check_cluster(case: FuzzCase, cluster,
     request = InductionRequest(region=case.region, model=case.model,
                                config=cfg)
     try:
-        result = cluster.client().submit(request)
+        with cluster.client() as client:
+            result = client.submit(request)
     except Exception as exc:  # noqa: BLE001 - any transport blowup is a bug
         return [OracleFailure("cluster_roundtrip",
                               f"routed submit failed: {exc!r}")]

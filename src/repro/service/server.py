@@ -37,7 +37,6 @@ given) receives one ``service_batch`` event per batch and one
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import socket
 import threading
@@ -47,9 +46,11 @@ from typing import Any
 
 from repro.api import InductionRequest
 from repro.core.cache import (
+    CacheEntry,
     ScheduleCache,
+    entry_from_payload,
+    entry_to_payload,
     schedule_from_payload,
-    schedule_to_payload,
 )
 from repro.core.deprecation import warn_once
 from repro.core.result import result_to_payload
@@ -88,7 +89,8 @@ from repro.service.workers import (
     record_portfolio_outcome,
 )
 
-__all__ = ["InductionServer", "ServerConfig", "flightrec_reply"]
+__all__ = ["ConnectionSet", "InductionServer", "ServerConfig",
+           "flightrec_reply"]
 
 
 @dataclass
@@ -158,6 +160,92 @@ def flightrec_reply(recorder: FlightRecorder, msg: dict) -> dict:
             slow=bool(msg.get("slow")), failed=bool(msg.get("failed")),
             last=last),
     }}
+
+
+class ConnectionSet:
+    """The open connections of a listening daemon, closed at its shutdown.
+
+    Clients keep connections open between calls, so a stopped daemon must
+    close the ones it holds: otherwise a client could go on talking to a
+    handler thread of a stopped server, or never reach a new server bound
+    to the same unix path.  :meth:`close` stops *reading*: an idle handler
+    wakes with end-of-file and closes its socket, while a handler still
+    answering a request sends that reply first.
+    """
+
+    def __init__(self) -> None:
+        self._open: set[socket.socket] = set()
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._open)
+
+    def add(self, conn: socket.socket) -> bool:
+        """Track ``conn``; after :meth:`close` it is closed instead."""
+        with self._lock:
+            if not self._closed:
+                self._open.add(conn)
+                return True
+        conn.close()
+        return False
+
+    def discard(self, conn: socket.socket) -> None:
+        with self._lock:
+            self._open.discard(conn)
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            conns = list(self._open)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+
+    def serve(self, conn: socket.socket, dispatch, on_shutdown) -> None:
+        """Answer framed messages on ``conn`` until the peer hangs up.
+
+        ``dispatch`` maps a message to its reply.  After an ``ok`` reply to
+        a ``shutdown`` op is on the wire, ``on_shutdown`` runs (so a
+        foreground daemon does not exit, killing this thread, before the
+        client hears back) and the connection closes.
+        """
+        with conn:
+            try:
+                while True:
+                    try:
+                        msg = protocol.recv_message(conn)
+                    except protocol.ProtocolError as exc:
+                        _send(conn, {"status": "error", "error": str(exc)})
+                        return
+                    except OSError:
+                        return
+                    if msg is None:
+                        return
+                    try:
+                        reply = dispatch(msg)
+                    except protocol.ProtocolError as exc:
+                        reply = {"status": "error", "error": str(exc)}
+                    sent = _send(conn, reply)
+                    if msg.get("op") == "shutdown" and \
+                            reply.get("status") == "ok":
+                        on_shutdown()
+                        return
+                    if not sent:
+                        return
+            finally:
+                self.discard(conn)
+
+
+def _send(conn: socket.socket, obj: dict) -> bool:
+    try:
+        protocol.send_message(conn, obj)
+        return True
+    except OSError:
+        return False
 
 
 class _Ticket:
@@ -258,6 +346,7 @@ class InductionServer:
         self._draining = False
         self._stopped = threading.Event()
         self._unix_path: str | None = None
+        self._connections = ConnectionSet()
         self._listener = self._bind(config.endpoint)
         self._endpoint = config.endpoint.resolved(self._listener)
         self._accept_thread = self._spawn(self._accept_loop, "serve-accept")
@@ -322,6 +411,11 @@ class InductionServer:
                 os.unlink(self._unix_path)
             except OSError:
                 pass
+        self._connections.close()
+        # A RemoteScheduleCache holds pooled connections to its peers.
+        close_cache = getattr(self.cache, "close", None)
+        if close_cache is not None:
+            close_cache()
         self.pool.close()
         self._stopped.set()
 
@@ -336,40 +430,9 @@ class InductionServer:
                 conn, _addr = self._listener.accept()
             except OSError:
                 return
-            self._spawn(lambda c=conn: self._handle(c), "serve-conn")
-
-    def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    msg = protocol.recv_message(conn)
-                except protocol.ProtocolError as exc:
-                    self._send(conn, {"status": "error", "error": str(exc)})
-                    return
-                except OSError:
-                    return
-                if msg is None:
-                    return
-                try:
-                    reply = self._dispatch_op(msg)
-                except protocol.ProtocolError as exc:
-                    reply = {"status": "error", "error": str(exc)}
-                sent = self._send(conn, reply)
-                if msg.get("op") == "shutdown" and reply.get("status") == "ok":
-                    # Finalize only after the drained-ack is on the wire, so
-                    # a foreground `repro serve` doesn't exit (killing this
-                    # daemon thread) before the client hears back.
-                    self._finalize()
-                    return
-                if not sent:
-                    return
-
-    def _send(self, conn: socket.socket, obj: dict) -> bool:
-        try:
-            protocol.send_message(conn, obj)
-            return True
-        except OSError:
-            return False
+            if self._connections.add(conn):
+                self._spawn(lambda c=conn: self._connections.serve(
+                    c, self._dispatch_op, self._finalize), "serve-conn")
 
     def _dispatch_op(self, msg: dict) -> dict:
         op = msg.get("op")
@@ -421,19 +484,12 @@ class InductionServer:
         if hit is None:
             return {"status": "cache", "hit": False}
         self.counters.bump("peer_cache_served")
-        schedule, stats = hit
-        return {
-            "status": "cache", "hit": True,
-            "schedule": schedule_to_payload(schedule),
-            "stats": dataclasses.asdict(stats) if stats is not None else None,
-        }
+        return {"status": "cache", "hit": True, **entry_to_payload(hit)}
 
     def _peer_cache_put(self, msg: dict) -> dict:
         try:
             fingerprint = msg["fingerprint"]
-            schedule = schedule_from_payload(msg["schedule"])
-            raw_stats = msg.get("stats")
-            stats = SearchStats(**raw_stats) if raw_stats else None
+            entry = entry_from_payload(msg)
             if not isinstance(fingerprint, str) or not fingerprint:
                 raise ValueError("bad fingerprint")
         except (KeyError, TypeError, ValueError) as exc:
@@ -441,7 +497,7 @@ class InductionServer:
                 from exc
         if self.cache is not None:
             put = getattr(self.cache, "put_local", self.cache.put)
-            put(fingerprint, schedule, stats)
+            put(fingerprint, *entry)
             self.counters.bump("peer_cache_stores")
         return {"status": "ok", "stored": self.cache is not None}
 
@@ -488,7 +544,7 @@ class InductionServer:
             # it never queues, so it never waits behind a busy worker.
             ticket.stores_seen = self.cache.counters["stores"]
             with use_registry(self.metrics):
-                hit = self.cache.get(ticket.fingerprint)
+                hit = self.cache.get(ticket.fingerprint, baselines=True)
                 if hit is not None:
                     try:
                         (response,) = self._answer_hit(
@@ -633,7 +689,7 @@ class InductionServer:
                 self.cache.counters["stores"] == first.stores_seen:
             return None
         get = getattr(self.cache, "get_local", self.cache.get)
-        return get(first.fingerprint)
+        return get(first.fingerprint, baselines=True)
 
     def _run_group_inner(self, group: _Group) -> None:
         first = group.tickets[0]
@@ -698,7 +754,8 @@ class InductionServer:
                     self.cache.put(
                         group.fingerprint,
                         schedule_from_payload(payload["schedule"]),
-                        stats)
+                        stats, payload["serial_cost"],
+                        payload["lockstep_cost"])
             except DeadlineExpired:
                 disposition = "deadline"
                 self.counters.bump("degraded_deadline")
@@ -723,7 +780,7 @@ class InductionServer:
                 members, payload, disposition, started)):
             self._respond(ticket, response)
 
-    def _answer_hit(self, members: list[_Ticket], hit,
+    def _answer_hit(self, members: list[_Ticket], hit: CacheEntry,
                     started: float) -> list[dict]:
         """One reply per member from a cached schedule: no worker runs.
 
@@ -738,8 +795,7 @@ class InductionServer:
         with attach_context(first.trace_ctx), \
                 span("service.dispatch", tee, tickets=len(members),
                      disposition="cache"):
-            result = build_result(first.request, hit[0], hit[1],
-                                  cache_hit=True,
+            result = build_result(first.request, hit,
                                   wall_s=time.monotonic() - started)
             payload = result_to_payload(result)
         self.counters.bump("cache_hits")
@@ -783,6 +839,7 @@ class InductionServer:
     _GAUGE_STATS = frozenset({
         "queue_depth", "inflight", "workers", "inline_pool",
         "open_tickets", "uptime_s", "trace_events", "draining",
+        "open_connections",
     })
 
     def stats(self) -> dict:
@@ -800,6 +857,7 @@ class InductionServer:
             "workers": self.pool.workers,
             "inline_pool": int(self.pool.inline),
             "open_tickets": open_tickets,
+            "open_connections": len(self._connections),
             "uptime_s": round(time.monotonic() - self._started, 3),
             "trace_events": self.tracer.events_written,
             "draining": int(self._draining),

@@ -34,11 +34,12 @@ import time
 from typing import Any, Mapping
 
 from repro.api import InductionRequest, _execute_local
+from repro.core.cache import CacheEntry
 from repro.core.pipeline import InductionResult, _induce_impl
 from repro.core.result import ResultBase, result_from_payload, result_to_payload
-from repro.core.schedule import Schedule
-from repro.core.search import SearchStats
-from repro.core.serial import lockstep_schedule, serial_schedule
+# Unused here since cache hits read their baselines from the entry; kept as
+# module attributes because perfbench/layers.py wraps them by this path.
+from repro.core.serial import lockstep_schedule, serial_schedule  # noqa: F401
 from repro.obs import Counters, MemoryTracer, attach_context, replay_events, span
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 
@@ -367,33 +368,24 @@ def record_portfolio_outcome(result, store) -> None:
 # -- result assembly -------------------------------------------------------
 
 
-def build_result(request: InductionRequest, schedule: Schedule,
-                 stats: SearchStats | None, cache_hit: bool,
-                 wall_s: float, degraded: bool = False,
-                 method: str | None = None) -> InductionResult:
-    """Assemble a protocol-shaped result around an already-built schedule.
+def build_result(request: InductionRequest, entry: CacheEntry,
+                 wall_s: float) -> InductionResult:
+    """The result of a request answered by a request-level cache hit.
 
-    Used for request-level cache hits and degraded fallbacks, where no
-    induction entry point ran end-to-end to produce the result for us.
+    Every number comes from the entry, which a request-level lookup
+    (``get(..., baselines=True)``) only returns with its baselines: no
+    baseline schedule is rebuilt and, for a vn request, no vn pre-pass is
+    re-run to find the region they were measured on.
     """
-    region = request.resolved_region()
-    model = request.resolved_model()
-    if request.vn != "off":
-        # The schedule being wrapped was built on the vn-rewritten region;
-        # baselines must measure the same region or a cache hit would
-        # report different serial/lockstep costs than the fresh run did.
-        from repro.core.vn import vn_prepass
-        region, _vnstats = vn_prepass(region, model, request.vn)
     return InductionResult(
-        method=method or request.method,
-        schedule=schedule,
-        cost=schedule.cost(model),
-        serial_cost=serial_schedule(region, model).cost(model),
-        lockstep_cost=lockstep_schedule(region, model).cost(model),
-        stats=stats,
-        cache_hit=cache_hit,
+        method=request.method,
+        schedule=entry.schedule,
+        cost=entry.schedule.cost(request.resolved_model()),
+        serial_cost=entry.serial_cost,
+        lockstep_cost=entry.lockstep_cost,
+        stats=entry.stats,
+        cache_hit=True,
         wall_s=wall_s,
-        degraded=degraded,
     )
 
 
@@ -433,9 +425,9 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
     fingerprint = None
     if request.cache is not None:
         fingerprint = request.fingerprint()
-        hit = request.cache.get(fingerprint)
+        hit = request.cache.get(fingerprint, baselines=True)
         if hit is not None:
-            return build_result(request, hit[0], hit[1], cache_hit=True,
+            return build_result(request, hit,
                                 wall_s=time.monotonic() - start)
 
     pool = WorkerPool(workers=1, max_retries=1)
@@ -461,7 +453,8 @@ def run_local_with_deadline(request: InductionRequest) -> ResultBase:
     record_portfolio_outcome(result, request.strategy_store)
     if request.cache is not None and not result.degraded:
         stats = result.search_stats[0] if len(result.search_stats) == 1 else None
-        request.cache.put(fingerprint, result.schedule, stats)
+        request.cache.put(fingerprint, result.schedule, stats,
+                          result.serial_cost, result.lockstep_cost)
     if request.tracer is not None and request.tracer.enabled:
         # ``kind`` would collide with emit's own event-kind argument.
         fields = result.as_dict()

@@ -41,13 +41,16 @@ class StubPeer:
         entry = self.store.get(fingerprint)
         if entry is None:
             return None
-        return {"schedule": entry[0], "stats": entry[1]}
+        return dict(zip(
+            ("schedule", "stats", "serial_cost", "lockstep_cost"), entry))
 
-    def cache_put(self, fingerprint, schedule_payload, stats_payload):
+    def cache_put(self, fingerprint, schedule_payload, stats_payload,
+                  serial_cost=None, lockstep_cost=None):
         self.puts += 1
         if self.fail:
             raise OSError("peer down")
-        self.store[fingerprint] = (schedule_payload, stats_payload)
+        self.store[fingerprint] = (schedule_payload, stats_payload,
+                                   serial_cost, lockstep_cost)
 
 
 @pytest.fixture
@@ -136,6 +139,30 @@ class TestGet:
         cache = make_cache(config, peers, me)
         assert cache.get(fp) is None
         assert cache.counters["remote_errors"] >= 1
+
+
+class TestBaselines:
+    def test_baselines_cross_the_peer_roundtrip(self, cluster, induced):
+        config, peers = cluster
+        fp, schedule, stats = induced
+        owner = owners(make_cache(config, peers, ""), fp)[0]
+        make_cache(config, peers, owner).put(fp, schedule, stats, 9.0, 7.0)
+        outsider = next(n for n in config.node_names
+                        if n not in owners(make_cache(config, peers, ""), fp))
+        found = make_cache(config, peers, outsider).get(fp, baselines=True)
+        assert (found.serial_cost, found.lockstep_cost) == (9.0, 7.0)
+
+    def test_peer_entry_without_baselines_is_a_request_level_miss(
+            self, cluster, induced):
+        config, peers = cluster
+        fp, schedule, stats = induced
+        owner = owners(make_cache(config, peers, ""), fp)[0]
+        peers[owner].store[fp] = (schedule_to_payload(schedule), None)
+        me = next(n for n in config.node_names if n != owner)
+        cache = make_cache(config, peers, me)
+        assert cache.get(fp, baselines=True) is None
+        assert cache.counters["remote_hits"] == 0
+        assert cache.get_local(fp) is None
 
 
 class TestPut:

@@ -261,3 +261,102 @@ class TestRequestCache:
         second.extras["routed_node"] = "tampered"
         third = cluster.client().submit(req)
         assert third.extras["routed_node"] == first.extras["routed_node"]
+
+
+class TestPooledForwarding:
+    def test_stale_node_connection_is_not_an_attempt_or_a_strike(self):
+        from repro.core import ScheduleCache
+        from repro.service import InductionServer, ServerConfig
+
+        # mark_down_after=1: a single strike would mark the node down.
+        with LocalCluster(nodes=3, cache_capacity=16, mark_down_after=1,
+                          request_cache_size=0) as clu:
+            req = request(50)
+            with clu.client() as client:
+                first = client.submit(req)
+                node = first.extras["routed_node"]
+                index = clu.config.node_names.index(node)
+                # Restart the node on its endpoint: the router's pooled
+                # connection to it now leads nowhere.
+                clu.servers[index].shutdown()
+                clu.servers[index] = InductionServer(
+                    ServerConfig(endpoint=clu.endpoints[index], workers=1),
+                    cache=ScheduleCache())
+                second = client.submit(req)
+            assert second.extras["routed_node"] == node
+            assert second.extras["route_attempts"] == 1
+            assert clu.router.counters["route_failovers"] == 0
+            assert clu.router.counters["route_retries"] == 0
+            assert clu.router.membership.states()[node] == "up"
+            assert clu.servers[index].stats()["requests"] == 1
+            assert second.cost == first.cost
+
+
+class TestSharedCachedReply:
+    def test_mutating_a_reply_never_changes_the_next_hit(self):
+        import copy
+
+        from repro.service import protocol
+
+        with LocalCluster(nodes=2, cache_capacity=16) as clu:
+            client = clu.cluster_client()
+            try:
+                req = request(60)
+                wire = protocol.request_to_wire(req)
+                client.submit_wire(dict(wire))
+                hit = client.submit_wire(dict(wire))
+                assert hit["result"]["router_cache"] is True
+                expected = copy.deepcopy(hit)
+                # The top two levels are the caller's own ...
+                hit["result"]["cost"] = -1.0
+                hit["status"] = "tampered"
+                # ... everything below is the cache's, and read-only.
+                with pytest.raises((TypeError, AttributeError)):
+                    hit["result"]["schedule"].append(["alu", []])
+                with pytest.raises(TypeError):
+                    hit["result"]["schedule"][0] = None
+                with pytest.raises(TypeError):
+                    hit["result"]["stats"][0]["nodes_expanded"] = -1
+                result = client.submit(req)
+                assert result.extras["router_cache"] is True
+                result.extras["routed_node"] = "tampered"
+                result.stats[0].nodes_expanded = -1
+                assert client.submit_wire(dict(wire)) == expected
+                again = client.submit(req)
+                assert again.extras["routed_node"] != "tampered"
+                assert again.stats[0].nodes_expanded >= 0
+            finally:
+                client.close()
+
+
+VN_REGION = """
+thread 0:
+    t0 = ld x
+    t1 = mul t0 #4
+    t2 = add t1 t0
+    t3 = sub t1 t1
+thread 1:
+    u0 = ld x
+    u1 = mul u0 #4.0
+    u2 = add u0 u1
+    u3 = sub u1 u1
+"""
+
+
+@pytest.mark.parametrize("vn", ["off", "on"])
+def test_peer_hit_reports_the_miss_baselines(vn):
+    with LocalCluster(nodes=3, cache_capacity=16, replication=2) as clu:
+        req = InductionRequest(region=VN_REGION, budget=10_000, vn=vn)
+        with clu.client() as client:
+            miss = client.submit(req)
+        outsider = next(
+            i for i, name in enumerate(clu.config.node_names)
+            if name not in owners_of(clu, req))
+        with clu.node_client(outsider) as client:
+            hit = client.submit(req)
+        assert miss.extras["disposition"] == "miss"
+        assert hit.extras["disposition"] == "cache"
+        assert clu.caches[outsider].counters["remote_hits"] == 1
+        assert (hit.serial_cost, hit.lockstep_cost) == \
+            (miss.serial_cost, miss.lockstep_cost)
+        assert hit.cost == miss.cost

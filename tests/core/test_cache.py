@@ -185,6 +185,96 @@ class TestInduceWiring:
             f"warm speedup only {cold_wall / min(warm_walls):.1f}x"
 
 
+class TestStoredBaselines:
+    """Entries carry the serial/lockstep baselines; hits read them."""
+
+    VN_REGION = """
+thread 0:
+    t0 = ld x
+    t1 = mul t0 #4
+    t2 = add t1 t0
+    t3 = sub t1 t1
+thread 1:
+    u0 = ld x
+    u1 = mul u0 #4.0
+    u2 = add u0 u1
+    u3 = sub u1 u1
+"""
+
+    def test_entry_keeps_baselines_in_both_tiers(self, tmp_path):
+        sched, stats = branch_and_bound(REGION, UNIT)
+        memory = ScheduleCache(cache_dir=tmp_path)
+        memory.put("fp", sched, stats, 6.0, 4.0)
+        disk = ScheduleCache(cache_dir=tmp_path)
+        for cache in (memory, disk):
+            got = cache.get("fp", baselines=True)
+            assert got.schedule == sched and got.stats == stats
+            assert (got.serial_cost, got.lockstep_cost) == (6.0, 4.0)
+        assert memory.counters["memory_hits"] == 1
+        assert disk.counters["disk_hits"] == 1
+
+    def test_entry_without_baselines_is_a_request_level_miss(self):
+        cache = ScheduleCache()
+        sched, stats = branch_and_bound(REGION, UNIT)
+        cache.put("fp", sched, stats)
+        assert cache.get("fp", baselines=True) is None
+        assert cache.counters["misses"] == 1 and cache.counters["hits"] == 0
+        # A window-level lookup still uses it.
+        assert cache.get("fp").schedule == sched
+
+    def test_disk_file_from_older_code_is_a_request_level_miss(
+            self, tmp_path):
+        sched, stats = branch_and_bound(REGION, UNIT)
+        (tmp_path / "fp.json").write_text(json.dumps({
+            "fingerprint": "fp", "schedule": schedule_to_payload(sched),
+            "stats": dataclasses.asdict(stats)}))
+        cache = ScheduleCache(cache_dir=tmp_path)
+        assert cache.get("fp", baselines=True) is None
+        assert cache.get("fp").schedule == sched
+        assert cache.counters["disk_errors"] == 0
+
+    @pytest.mark.parametrize("vn", ["off", "on"])
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    @pytest.mark.parametrize("deadline_s", [None, 60.0])
+    def test_hit_reports_the_miss_baselines(self, tmp_path, vn, tier,
+                                            deadline_s):
+        from repro import api
+
+        request = api.InductionRequest(region=self.VN_REGION, budget=10_000,
+                                       vn=vn, deadline_s=deadline_s)
+        miss = api.induce(request.replace(cache=ScheduleCache(
+            cache_dir=tmp_path)))
+        cache = ScheduleCache(cache_dir=tmp_path) if tier == "disk" \
+            else None
+        if cache is None:
+            cache = ScheduleCache()
+            api.induce(request.replace(cache=cache))
+        hit = api.induce(request.replace(cache=cache))
+        assert not miss.cache_hit and hit.cache_hit
+        assert cache.counters[f"{tier}_hits"] == 1
+        assert (hit.serial_cost, hit.lockstep_cost) == \
+            (miss.serial_cost, miss.lockstep_cost)
+        assert hit.cost == miss.cost
+        if vn == "on":
+            plain = api.induce(request.replace(vn="off"))
+            assert hit.serial_cost < plain.serial_cost
+
+    def test_window_entry_is_recomputed_then_hit(self):
+        from repro import api
+
+        cache = ScheduleCache()
+        request = api.InductionRequest(region=REGION, model=UNIT)
+        # One window covering the region stores it under the same key a
+        # request-level lookup uses, without baselines.
+        api.induce(request.replace(window=8, cache=cache))
+        assert cache.get(request.fingerprint()) is not None
+        first = api.induce(request.replace(cache=cache))
+        second = api.induce(request.replace(cache=cache))
+        assert not first.cache_hit and second.cache_hit
+        assert (second.serial_cost, second.lockstep_cost) == \
+            (first.serial_cost, first.lockstep_cost)
+
+
 OPCODES = ["ld", "st", "add", "mul", "neg"]
 
 
@@ -217,7 +307,7 @@ class TestCachedBitIdentical:
         fresh_sched, fresh_stats = branch_and_bound(region, UNIT, config)
         fp = region_fingerprint(region, UNIT, config)
         cache.put(fp, fresh_sched, fresh_stats)
-        cached_sched, cached_stats = cache.get(fp)
+        cached_sched, cached_stats = cache.get(fp)[:2]
         assert cached_sched == fresh_sched
         assert cached_stats == fresh_stats
         # A brand-new search is deterministic, so it matches the cache too.
@@ -239,6 +329,7 @@ class TestCachedBitIdentical:
         fresh_sched, fresh_stats = branch_and_bound(region, UNIT, config)
         fp = region_fingerprint(region, UNIT, config)
         ScheduleCache(cache_dir=tmp_path).put(fp, fresh_sched, fresh_stats)
-        cached_sched, cached_stats = ScheduleCache(cache_dir=tmp_path).get(fp)
+        cached_sched, cached_stats = \
+            ScheduleCache(cache_dir=tmp_path).get(fp)[:2]
         assert cached_sched == fresh_sched
         assert cached_stats == fresh_stats

@@ -5,17 +5,21 @@ bare listening socket the test scripts byte-by-byte — because the point is
 the client's behaviour when the far side misbehaves: nothing listening,
 connect that times out, a connection dropped before the reply header, a
 frame truncated mid-body, garbage bytes, and recovery after the real server
-restarts on the same address.
+restarts on the same address.  The pooled-connection tests at the end run
+against real servers: stale connections after a restart or shutdown, and
+one client shared by many threads.
 """
 
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.api import InductionRequest
 from repro.service import (
-    InductionServer, ServerConfig, ServiceClient, ServiceError,
+    Endpoint, InductionServer, ServerConfig, ServiceClient, ServiceError,
 )
 
 REGION = """
@@ -175,3 +179,129 @@ class TestReconnect:
 
         assert first.cost == second.cost
         assert not second.degraded
+
+
+def distinct_regions(count):
+    """``count`` regions of distinct shapes (threads x ops), so a reply
+    delivered to the wrong caller cannot match that caller's schedule."""
+    regions = []
+    for i in range(count):
+        threads, ops = 2 + i % 4, 1 + i // 4
+        lines = []
+        for t in range(threads):
+            lines.append(f"thread {t}:")
+            lines.append(f"    v{t}_0 = ld x")
+            lines.extend(f"    v{t}_{k} = add v{t}_{k - 1} v{t}_0"
+                         for k in range(1, ops))
+        regions.append("\n".join(lines) + "\n")
+    return regions
+
+
+class TestPooledConnections:
+    """A client keeps its connections open between calls."""
+
+    def test_calls_reuse_one_connection(self, tmp_path, request_,
+                                        monkeypatch):
+        connects = []
+        connect = Endpoint.connect
+
+        def counting_connect(endpoint, timeout=None):
+            connects.append(endpoint)
+            return connect(endpoint, timeout)
+
+        server = InductionServer(ServerConfig(
+            endpoint=f"unix://{tmp_path / 'svc.sock'}", workers=1))
+        monkeypatch.setattr(Endpoint, "connect", counting_connect)
+        try:
+            with ServiceClient(server.endpoint, timeout=10.0) as client:
+                for _ in range(3):
+                    client.submit(request_)
+                assert client.ping()
+                assert len(connects) == 1
+                assert server.stats()["open_connections"] == 1
+        finally:
+            server.shutdown()
+
+    def test_restarted_server_is_reached_through_a_stale_connection(
+            self, tmp_path, request_):
+        endpoint = f"unix://{tmp_path / 'svc.sock'}"
+        client = ServiceClient(endpoint, timeout=10.0)
+        old = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
+        try:
+            first = client.submit(request_)
+        finally:
+            old.shutdown()
+        # The client still holds its idle connection to the old server;
+        # the next call finds it closed, reconnects once and reaches the
+        # new server bound to the same path.
+        new = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
+        try:
+            second = client.submit(request_)
+            assert new.stats()["requests"] == 1
+        finally:
+            client.close()
+            new.shutdown()
+        assert old.stats()["requests"] == 1
+        assert second.cost == first.cost
+
+    @pytest.mark.parametrize("scheme", ["unix", "tcp"])
+    def test_idle_connection_to_a_stopped_server_fails_fast(
+            self, tmp_path, request_, scheme):
+        endpoint = f"unix://{tmp_path / 'svc.sock'}" if scheme == "unix" \
+            else "tcp://127.0.0.1:0"
+        server = InductionServer(ServerConfig(endpoint=endpoint, workers=1))
+        client = ServiceClient(server.endpoint, timeout=5.0)
+        client.submit(request_)
+        server.shutdown()
+        started = time.monotonic()
+        with pytest.raises(ServiceError):
+            client.submit(request_)
+        assert time.monotonic() - started < 2.0
+        assert not client.ping()
+
+    def test_threads_sharing_a_client_get_their_own_replies(self, tmp_path):
+        from repro import api
+
+        regions = distinct_regions(16)
+        expected = [api.induce(InductionRequest(region=r, budget=5_000))
+                    for r in regions]
+        server = InductionServer(ServerConfig(
+            endpoint=f"unix://{tmp_path / 'svc.sock'}", workers=2,
+            queue_size=32))
+        results = [None] * len(regions)
+        errors = []
+
+        def go(i):
+            try:
+                for _ in range(3):
+                    results[i] = client.submit(
+                        InductionRequest(region=regions[i], budget=5_000))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the pool's check-outs
+        try:
+            with ServiceClient(server.endpoint, timeout=30.0) as client:
+                threads = [threading.Thread(target=go, args=(i,))
+                           for i in range(len(regions))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert not errors
+                for result, want in zip(results, expected):
+                    assert result.schedule == want.schedule
+                    assert result.cost == want.cost
+                # Connections beyond the pool's size closed after use.
+                deadline = time.monotonic() + 5.0
+                while server.stats()["open_connections"] > \
+                        ServiceClient.POOL_SIZE and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert server.stats()["open_connections"] <= \
+                    ServiceClient.POOL_SIZE
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()

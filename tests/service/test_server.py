@@ -15,7 +15,7 @@ import pytest
 from repro.api import InductionRequest
 from repro.core import maspar_cost_model, parse_region, verify_schedule
 from repro.service import (
-    InductionServer, ServerConfig, ServiceBusy, ServiceClient,
+    InductionServer, ServerConfig, ServiceBusy, ServiceClient, ServiceError,
 )
 
 REGION = """
@@ -476,3 +476,133 @@ def test_service_round_trip_is_one_stitched_trace(tmp_path, request_):
     # environment forced the inline pool, where they are still present).
     assert {"service.request", "service.dispatch",
             "worker.execute", "induce"} <= names
+
+
+# -- baselines stored with the cached schedule ------------------------------
+
+#: A region the vn pre-pass rewrites to a cheaper serial baseline, so a hit
+#: that measured baselines on the pre-vn region would show.
+VN_REGION = """
+thread 0:
+    t0 = ld x
+    t1 = mul t0 #4
+    t2 = add t1 t0
+    t3 = sub t1 t1
+thread 1:
+    u0 = ld x
+    u1 = mul u0 #4.0
+    u2 = add u0 u1
+    u3 = sub u1 u1
+"""
+
+
+def baselines(result):
+    return result.serial_cost, result.lockstep_cost
+
+
+@pytest.mark.parametrize("vn", ["off", "on"])
+def test_memory_hit_reports_the_miss_baselines(tmp_path, vn):
+    from repro import api
+
+    req = InductionRequest(region=VN_REGION, budget=10_000, vn=vn)
+    fresh = api.induce(req)
+    if vn == "on":
+        plain = api.induce(req.replace(vn="off"))
+        assert fresh.serial_cost < plain.serial_cost
+    server = make_cached_server(tmp_path)
+    try:
+        with ServiceClient(server.endpoint) as client:
+            miss = client.submit(req)
+            hit = client.submit(req)
+    finally:
+        server.shutdown()
+    assert miss.extras["disposition"] == "miss"
+    assert hit.extras["disposition"] == "cache"
+    assert baselines(miss) == baselines(hit) == baselines(fresh)
+    assert hit.cost == miss.cost == fresh.cost
+
+
+def test_disk_hit_reports_the_miss_baselines(tmp_path):
+    from repro.core import ScheduleCache
+
+    req = InductionRequest(region=VN_REGION, budget=10_000, vn="on")
+    replies = []
+    for _ in range(2):
+        cache = ScheduleCache(cache_dir=tmp_path / "cache")
+        server = InductionServer(
+            ServerConfig(endpoint=f"unix://{tmp_path / 'svc.sock'}",
+                         workers=1), cache=cache)
+        try:
+            with ServiceClient(server.endpoint) as client:
+                replies.append(client.submit(req))
+        finally:
+            server.shutdown()
+    miss, hit = replies
+    assert miss.extras["disposition"] == "miss"
+    assert hit.extras["disposition"] == "cache"
+    assert cache.counters["disk_hits"] == 1
+    assert baselines(hit) == baselines(miss)
+
+
+def test_entry_without_baselines_is_a_request_level_miss(tmp_path, request_):
+    from repro import api
+    from repro.core import ScheduleCache
+
+    # What a windowed run or an older disk file leaves: a schedule under
+    # the request's key but no baseline costs.
+    cache = ScheduleCache()
+    cache.put(request_.fingerprint(), api.induce(request_).schedule)
+    server = InductionServer(
+        ServerConfig(endpoint=f"unix://{tmp_path / 'svc.sock'}", workers=1),
+        cache=cache)
+    try:
+        with ServiceClient(server.endpoint) as client:
+            first = client.submit(request_)
+            second = client.submit(request_)
+    finally:
+        server.shutdown()
+    # The incomplete entry is recomputed and replaced by a complete one.
+    assert first.extras["disposition"] == "miss"
+    assert second.extras["disposition"] == "cache"
+    assert baselines(first) == baselines(second)
+    assert cache.get(request_.fingerprint(), baselines=True) is not None
+
+
+# -- connections -------------------------------------------------------------
+
+
+def wait_for_open_connections(server, count, timeout=5.0):
+    """Handlers drop a connection just after its peer hangs up; poll."""
+    deadline = time.monotonic() + timeout
+    while server.stats()["open_connections"] != count and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server.stats()["open_connections"]
+
+
+def test_membership_probes_close_their_connections(tmp_path):
+    from repro.cluster import Membership
+
+    server = make_server(tmp_path)
+    try:
+        start = server.stats()["open_connections"]
+        membership = Membership([server.endpoint], probe_timeout_s=2.0)
+        for _ in range(50):
+            assert membership.probe_once() == {str(server.endpoint): "up"}
+        assert wait_for_open_connections(server, start) == start
+    finally:
+        server.shutdown()
+
+
+def test_shutdown_closes_idle_client_connections(tmp_path, request_):
+    server = make_server(tmp_path)
+    client = ServiceClient(server.endpoint, timeout=5.0)
+    client.submit(request_)
+    assert server.stats()["open_connections"] == 1
+    server.shutdown()
+    assert wait_for_open_connections(server, 0) == 0
+    # The client's idle connection is dead; it fails fast, never hangs.
+    started = time.monotonic()
+    with pytest.raises(ServiceError):
+        client.submit(request_)
+    assert time.monotonic() - started < 2.0
